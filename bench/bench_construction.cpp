@@ -10,9 +10,11 @@
 /// and splits the two phases into `assembly_s` / `spgemm_s` counters
 /// (average seconds per iteration). `edges_per_sec` (= items/s) is the
 /// pipeline rate and `allocs_per_row` tracks heap traffic per adjacency
-/// row. The pre-PR-3 assembly (COO staging + stable-sort
-/// `from_coo_reference`) stays in-bench as `BM_ConstructLegacy_*` so the
-/// sort-free engine's delta is measured, not remembered.
+/// row. The pre-PR-3 assembly (COO staging + a serial stable sort) ran
+/// here as `BM_ConstructLegacy_*` baselines until the sort-free engine's
+/// lead was settled; their last numbers stay frozen in the committed
+/// BENCH_construction.json, and the stable-sort path itself lives on
+/// only as a test oracle (tests/reference_oracles.hpp).
 
 #define I2A_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
@@ -26,36 +28,18 @@ namespace {
 
 using namespace i2a;
 
-/// The pre-PR-3 incidence assembly: stage every edge endpoint through a
-/// COO buffer, then sort-group-compress with the reference engine. Kept
-/// as the legacy baseline the sort-free path is measured against.
-graph::IncidencePair<double> legacy_incidence_arrays(const graph::Graph& g) {
-  sparse::Coo<double> out(g.num_edges(), g.num_vertices());
-  sparse::Coo<double> in(g.num_edges(), g.num_vertices());
-  const auto& edges = g.edges();
-  for (index_t e = 0; e < g.num_edges(); ++e) {
-    out.push(e, edges[static_cast<std::size_t>(e)].src, 1.0);
-    in.push(e, edges[static_cast<std::size_t>(e)].dst, 1.0);
-  }
-  return graph::IncidencePair<double>{
-      sparse::Csr<double>::from_coo_reference(std::move(out),
-                                              sparse::DupPolicy::kKeepFirst),
-      sparse::Csr<double>::from_coo_reference(std::move(in),
-                                              sparse::DupPolicy::kKeepFirst)};
-}
-
 /// Full pipeline per iteration: assembly (graph → Eout/Ein) then product
 /// (A = Eᵀout ⊕.⊗ Ein), with per-phase wall timings split into counters.
-template <typename P, typename Assemble>
-void pipeline_bench(benchmark::State& state, const P& p,
-                    const graph::Graph& g, const Assemble& assemble) {
+template <typename P>
+void construction_bench(benchmark::State& state, const P& p,
+                        const graph::Graph& g) {
   std::uint64_t allocs = 0;
   double assembly_s = 0.0;
   double spgemm_s = 0.0;
   for (auto _ : state) {
     const auto before = bench::alloc_count();
     util::Timer phase;
-    const auto inc = assemble(g);
+    const auto inc = graph::incidence_arrays(g, p);
     assembly_s += phase.seconds();
     phase.reset();
     auto a = graph::adjacency_array(p, inc);
@@ -79,33 +63,11 @@ void pipeline_bench(benchmark::State& state, const P& p,
                                                         : 1));
 }
 
-template <typename P>
-void construction_bench(benchmark::State& state, const P& p,
-                        const graph::Graph& g) {
-  pipeline_bench(state, p, g, [&p](const graph::Graph& gr) {
-    return graph::incidence_arrays(gr, p);
-  });
-}
-
-void legacy_construction_bench(benchmark::State& state,
-                               const graph::Graph& g) {
-  pipeline_bench(state, algebra::PlusTimes<double>{}, g,
-                 [](const graph::Graph& gr) {
-                   return legacy_incidence_arrays(gr);
-                 });
-}
-
 void BM_Construct_RMAT_PlusTimes(benchmark::State& state) {
   const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
   construction_bench(state, algebra::PlusTimes<double>{}, g);
 }
 BENCHMARK(BM_Construct_RMAT_PlusTimes)->DenseRange(8, 14, 2);
-
-void BM_ConstructLegacy_RMAT_PlusTimes(benchmark::State& state) {
-  const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
-  legacy_construction_bench(state, g);
-}
-BENCHMARK(BM_ConstructLegacy_RMAT_PlusTimes)->DenseRange(8, 14, 2);
 
 void BM_Construct_RMAT_MinPlus(benchmark::State& state) {
   const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
@@ -126,15 +88,6 @@ void BM_Construct_ER_PlusTimes(benchmark::State& state) {
 }
 BENCHMARK(BM_Construct_ER_PlusTimes)->RangeMultiplier(4)->Range(256, 16384);
 
-void BM_ConstructLegacy_ER_PlusTimes(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const auto g = graph::gen::erdos_renyi(n, 8.0 / static_cast<double>(n), 5);
-  legacy_construction_bench(state, g);
-}
-BENCHMARK(BM_ConstructLegacy_ER_PlusTimes)
-    ->RangeMultiplier(4)
-    ->Range(256, 16384);
-
 void BM_Construct_Bipartite_PlusTimes(benchmark::State& state) {
   const index_t n = state.range(0);
   const auto g = graph::gen::random_bipartite(n, n, 8, 11);
@@ -144,18 +97,8 @@ BENCHMARK(BM_Construct_Bipartite_PlusTimes)
     ->RangeMultiplier(4)
     ->Range(256, 16384);
 
-void BM_ConstructLegacy_Bipartite_PlusTimes(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const auto g = graph::gen::random_bipartite(n, n, 8, 11);
-  legacy_construction_bench(state, g);
-}
-BENCHMARK(BM_ConstructLegacy_Bipartite_PlusTimes)
-    ->RangeMultiplier(4)
-    ->Range(256, 16384);
-
-// Assembly only: graph → incidence arrays, no product. The point where
-// the sort-free identity-ramp build shows undiluted against the COO +
-// stable-sort path.
+// Assembly only: graph → incidence arrays, no product — the sort-free
+// identity-ramp build undiluted by the SpGEMM.
 void BM_Construct_Assembly_RMAT(benchmark::State& state) {
   const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
   const algebra::PlusTimes<double> p;
@@ -171,25 +114,10 @@ void BM_Construct_Assembly_RMAT(benchmark::State& state) {
 }
 BENCHMARK(BM_Construct_Assembly_RMAT)->DenseRange(8, 14, 2);
 
-void BM_ConstructLegacy_Assembly_RMAT(benchmark::State& state) {
-  const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
-  for (auto _ : state) {
-    auto inc = legacy_incidence_arrays(g);
-    benchmark::DoNotOptimize(inc);
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-  state.counters["edges_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(g.num_edges()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConstructLegacy_Assembly_RMAT)->DenseRange(8, 14, 2);
-
 // General COO→CSR assembly on a duplicate-heavy, shuffled buffer — the
 // worst case for the two-pass engine (nothing is pre-grouped, every row
-// needs the sort + fold pass) against the worst case for the reference
-// (one big comparison sort). Entries/s in items/s; the per-iteration
-// buffer copy is identical in both variants.
+// needs the sort + fold pass). Entries/s in items/s; the per-iteration
+// buffer copy is included.
 sparse::Coo<double> shuffled_dup_coo(index_t entries) {
   util::Xoshiro256 rng(29);
   const index_t nrows = entries / 8 > 0 ? entries / 8 : 1;
@@ -215,21 +143,6 @@ void BM_Construct_FromCoo(benchmark::State& state) {
 }
 BENCHMARK(BM_Construct_FromCoo)->RangeMultiplier(4)->Range(16384, 262144);
 
-void BM_ConstructLegacy_FromCoo(benchmark::State& state) {
-  const auto master = shuffled_dup_coo(state.range(0));
-  for (auto _ : state) {
-    auto coo = master;
-    auto m = sparse::Csr<double>::from_coo_reference(std::move(coo),
-                                                     sparse::DupPolicy::kSum);
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<index_t>(master.nnz()));
-}
-BENCHMARK(BM_ConstructLegacy_FromCoo)
-    ->RangeMultiplier(4)
-    ->Range(16384, 262144);
-
 // End-to-end: graph -> incidence arrays -> adjacency (includes the
 // incidence-assembly cost a data pipeline pays). Same measurement as the
 // pre-PR-3 suite, so this point is comparable across committed
@@ -248,21 +161,6 @@ void BM_Construct_EndToEnd(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Construct_EndToEnd)->DenseRange(8, 14, 2);
-
-void BM_ConstructLegacy_EndToEnd(benchmark::State& state) {
-  const auto g = bench::rmat_graph(static_cast<int>(state.range(0)), 8, 7);
-  const algebra::PlusTimes<double> p;
-  for (auto _ : state) {
-    auto a = graph::adjacency_array(p, legacy_incidence_arrays(g));
-    benchmark::DoNotOptimize(a);
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-  state.counters["edges_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(g.num_edges()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConstructLegacy_EndToEnd)->DenseRange(8, 14, 2);
 
 // Repeated-product form: forward + reverse adjacency from one incidence
 // pair with the CSC views prebuilt once — the shape a serving layer that

@@ -1,14 +1,10 @@
 /// \file bench_serve.cpp
-/// \brief PERF7: the concurrent serving core. Two questions, numbers
+/// \brief PERF7: the concurrent serving core. Three questions, numbers
 ///        committed as BENCH_serve.json:
 ///
 ///   1. `BM_ServeIngestThroughput` — pure ingest rate (edges/s) through
-///      `stream::ShardedBuilder` with background compaction, vs shard
-///      count (1 = the degenerate single-builder fuse). Shards share
-///      nothing on the hot path, so on multi-core hardware the staging +
-///      compaction work spreads; on a single hardware thread the curve
-///      is expected roughly flat (the CI/container runner is 1-core —
-///      read the committed numbers with that in mind, DESIGN.md §9).
+///      one `stream::AdjacencyBuilder` with background compaction on a
+///      pool of 4; each batch's staging fans out over the same pool.
 ///
 ///   2. `BM_ServeMixed` — the serving mix: this thread streams every
 ///      batch while two query threads continuously pin snapshots and run
@@ -38,7 +34,7 @@
 #include "algebra/pairs.hpp"
 #include "graph/algorithms/bfs.hpp"
 #include "graph/incidence.hpp"
-#include "stream/sharded_builder.hpp"
+#include "stream/adjacency_builder.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -71,19 +67,25 @@ double percentile_ms(std::vector<double>& v, double q) {
   return v[static_cast<std::size_t>(idx)];
 }
 
+using Builder = stream::AdjacencyBuilder<algebra::PlusTimes<double>>;
+
+stream::Options background_opts(util::ThreadPool* pool,
+                                std::size_t max_pending_merges) {
+  return {.pool = pool,
+          .compaction = stream::Compaction::kBackground,
+          .max_pending_merges = max_pending_merges};
+}
+
 /// Ingest the whole stream (background compaction on a shared pool),
-/// drain, one final snapshot. Arg = shard count.
+/// drain, one final snapshot.
 void BM_ServeIngestThroughput(benchmark::State& state) {
   const auto g = bench::rmat_graph(kScale, kEdgeFactor, 42);
   const auto batches = split_batches(g.edges(), kBatches);
-  const algebra::PlusTimes<double> p;
-  const auto shards = static_cast<std::size_t>(state.range(0));
   util::ThreadPool pool(4);
   std::uint64_t final_nnz = 0;
   for (auto _ : state) {
-    stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+    Builder b(g.num_vertices(), {},
+              background_opts(&pool, stream::kUnboundedPendingMerges));
     for (const auto& batch : batches) b.ingest(batch);
     b.drain();
     const auto a = b.adjacency();
@@ -93,81 +95,20 @@ void BM_ServeIngestThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(g.edges().size()));
   state.counters["final_nnz"] = static_cast<double>(final_nnz);
-  state.counters["shards"] = static_cast<double>(shards);
 }
-BENCHMARK(BM_ServeIngestThroughput)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeIngestThroughput)->Unit(benchmark::kMillisecond);
 
 /// Writer streams all batches while kQueryThreads readers pin + BFS
 /// continuously. Items processed = edges ingested (writer throughput);
 /// the latency counters come from the reader-side clock.
-void BM_ServeMixed(benchmark::State& state) {
+void serve_mixed(benchmark::State& state, std::size_t max_pending_merges) {
   const auto g = bench::rmat_graph(kScale, kEdgeFactor, 42);
   const auto batches = split_batches(g.edges(), kBatches);
-  const algebra::PlusTimes<double> p;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  util::ThreadPool pool(4);
-  std::vector<double> latencies_ms;
-  for (auto _ : state) {
-    stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
-    std::atomic<bool> done{false};
-    std::vector<std::vector<double>> per_reader(kQueryThreads);
-    std::vector<std::thread> readers;
-    readers.reserve(kQueryThreads);
-    for (std::size_t t = 0; t < kQueryThreads; ++t) {
-      readers.emplace_back([&, t] {
-        std::uint64_t src = 0x9e3779b9u + t;
-        do {
-          const auto t0 = std::chrono::steady_clock::now();
-          const auto snap = b.snapshot();
-          const auto levels = graph::bfs_levels(
-              snap, static_cast<index_t>(
-                        src % static_cast<std::uint64_t>(g.num_vertices())));
-          benchmark::DoNotOptimize(levels.size());
-          const auto t1 = std::chrono::steady_clock::now();
-          per_reader[t].push_back(
-              std::chrono::duration<double, std::milli>(t1 - t0).count());
-          src = src * 6364136223846793005ULL + 1442695040888963407ULL;
-        } while (!done.load());
-      });
-    }
-    for (const auto& batch : batches) b.ingest(batch);
-    b.drain();
-    done.store(true);
-    for (auto& r : readers) r.join();
-    for (auto& v : per_reader) {
-      latencies_ms.insert(latencies_ms.end(), v.begin(), v.end());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.edges().size()));
-  state.counters["queries"] = static_cast<double>(latencies_ms.size());
-  state.counters["q_p50_ms"] = percentile_ms(latencies_ms, 0.50);
-  state.counters["q_p99_ms"] = percentile_ms(latencies_ms, 0.99);
-  state.counters["shards"] = static_cast<double>(shards);
-}
-BENCHMARK(BM_ServeMixed)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-/// BM_ServeMixed under backpressure: background compaction with the
-/// merge debt bounded, so the writer stalls (and settles inline when the
-/// chain cannot catch up) whenever it runs ahead of the pool.
-/// Args = {shard count, max_pending_merges budget}.
-void BM_ServeDegraded(benchmark::State& state) {
-  const auto g = bench::rmat_graph(kScale, kEdgeFactor, 42);
-  const auto batches = split_batches(g.edges(), kBatches);
-  const algebra::PlusTimes<double> p;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto kMaxPendingMerges = static_cast<std::size_t>(state.range(1));
   util::ThreadPool pool(4);
   std::vector<double> latencies_ms;
   std::uint64_t backpressure_events = 0;
   for (auto _ : state) {
-    stream::ShardedBuilder<algebra::PlusTimes<double>> b(
-        g.num_vertices(), shards, p, stream::Weighting::kUnweighted,
-        sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground,
-        kMaxPendingMerges);
+    Builder b(g.num_vertices(), {}, background_opts(&pool, max_pending_merges));
     std::atomic<bool> done{false};
     std::vector<std::vector<double>> per_reader(kQueryThreads);
     std::vector<std::thread> readers;
@@ -203,18 +144,27 @@ void BM_ServeDegraded(benchmark::State& state) {
   state.counters["queries"] = static_cast<double>(latencies_ms.size());
   state.counters["q_p50_ms"] = percentile_ms(latencies_ms, 0.50);
   state.counters["q_p99_ms"] = percentile_ms(latencies_ms, 0.99);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["max_pending_merges"] =
-      static_cast<double>(kMaxPendingMerges);
-  state.counters["backpressure_events"] =
-      static_cast<double>(backpressure_events);
+  if (max_pending_merges != stream::kUnboundedPendingMerges) {
+    state.counters["max_pending_merges"] =
+        static_cast<double>(max_pending_merges);
+    state.counters["backpressure_events"] =
+        static_cast<double>(backpressure_events);
+  }
 }
-BENCHMARK(BM_ServeDegraded)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Unit(benchmark::kMillisecond);
+
+void BM_ServeMixed(benchmark::State& state) {
+  serve_mixed(state, stream::kUnboundedPendingMerges);
+}
+BENCHMARK(BM_ServeMixed)->Unit(benchmark::kMillisecond);
+
+/// BM_ServeMixed under backpressure: background compaction with the
+/// merge debt bounded, so the writer stalls (and settles inline when the
+/// chain cannot catch up) whenever it runs ahead of the pool.
+/// Arg = max_pending_merges budget.
+void BM_ServeDegraded(benchmark::State& state) {
+  serve_mixed(state, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_ServeDegraded)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -30,7 +30,8 @@
 /// Everything is O(nnz + nrows) — no O(nnz log nnz) comparison sort
 /// anywhere — and a duplicate-free input returns the staging arrays
 /// without a final compaction copy. The old stable-sort path survives as
-/// `from_coo_reference` for differential tests and in-bench baselines.
+/// the test oracle `i2a::test::from_coo_reference`
+/// (tests/reference_oracles.hpp).
 
 #include <algorithm>
 #include <cassert>
@@ -100,8 +101,8 @@ inline void stitch_bucket_cursors(std::vector<std::vector<index_t>>& hist,
 /// Fold one column-sorted (col, val) run into a compact (cols, vals)
 /// prefix per `policy`; returns the deduplicated length. The input is in
 /// push order within each equal-column group, so the fold's left-to-right
-/// accumulation reproduces `from_coo_reference` exactly (bitwise, even
-/// for FP kSum).
+/// accumulation reproduces the stable-sort reference exactly (bitwise,
+/// even for FP kSum).
 template <typename T>
 index_t fold_sorted_run(const std::vector<std::pair<index_t, T>>& run,
                         DupPolicy policy, index_t* cols, T* vals) {
@@ -284,54 +285,6 @@ class Csr {
     Csr out(nrows, coo.ncols(), std::move(fptr), std::move(fcols),
             std::move(fvals));
     I2A_ENSURES(out.is_canonical(), "from_coo: non-canonical CSR");
-    return out;
-  }
-
-  /// The pre-PR-3 serial stable-sort assembly, kept verbatim as the
-  /// differential-test oracle and the in-bench legacy baseline
-  /// (`BM_ConstructLegacy_*`). Semantically identical to `from_coo` —
-  /// including bitwise-identical FP kSum folds, since both visit a
-  /// (row, col) group's duplicates in push order.
-  static Csr from_coo_reference(Coo<T> coo,
-                                DupPolicy policy = DupPolicy::kSum) {
-    auto& e = coo.entries();
-    // Stable sort keeps push order within a (row, col) group, which is
-    // what gives kKeepFirst / kKeepLast their meaning.
-    std::stable_sort(e.begin(), e.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.row != b.row ? a.row < b.row : a.col < b.col;
-                     });
-    std::vector<index_t> row_ptr(static_cast<std::size_t>(coo.nrows()) + 1, 0);
-    std::vector<index_t> cols;
-    std::vector<T> vals;
-    cols.reserve(e.size());
-    vals.reserve(e.size());
-    for (std::size_t i = 0; i < e.size();) {
-      const index_t r = e[i].row;
-      const index_t c = e[i].col;
-      assert(r >= 0 && r < coo.nrows() && c >= 0 && c < coo.ncols());
-      T acc = e[i].val;
-      std::size_t j = i + 1;
-      for (; j < e.size() && e[j].row == r && e[j].col == c; ++j) {
-        switch (policy) {
-          case DupPolicy::kSum: acc = acc + e[j].val; break;
-          case DupPolicy::kKeepFirst: break;
-          case DupPolicy::kKeepLast: acc = e[j].val; break;
-          case DupPolicy::kMax: acc = std::max(acc, e[j].val); break;
-          case DupPolicy::kMin: acc = std::min(acc, e[j].val); break;
-        }
-      }
-      cols.push_back(c);
-      vals.push_back(acc);
-      ++row_ptr[static_cast<std::size_t>(r) + 1];
-      i = j;
-    }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(coo.nrows()); ++r) {
-      row_ptr[r + 1] += row_ptr[r];
-    }
-    Csr out(coo.nrows(), coo.ncols(), std::move(row_ptr), std::move(cols),
-            std::move(vals));
-    I2A_ENSURES(out.is_canonical(), "from_coo_reference: non-canonical CSR");
     return out;
   }
 

@@ -254,54 +254,4 @@ Csr<typename P::value_type> merge(
       a, b, [&p](const T& x, const T& y) { return p.add(x, y); }, pool);
 }
 
-/// Serial oracle for the differential tests (the `from_coo_reference`
-/// pattern): per row, concatenate the runs' entries in run order, stable
-/// sort by column, fold left. Deliberately shares no code with the
-/// engine.
-template <typename T, typename Add>
-Csr<T> merge_add_reference(const std::vector<const Csr<T>*>& runs,
-                           const Add& add, const T* drop_zero = nullptr) {
-  if (runs.empty()) {
-    throw std::invalid_argument("merge_add_reference: no input runs");
-  }
-  const index_t nrows = runs[0]->nrows();
-  const index_t ncols = runs[0]->ncols();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(nrows) + 1, 0);
-  std::vector<index_t> cols;
-  std::vector<T> vals;
-  std::vector<std::pair<index_t, T>> buf;
-  for (index_t r = 0; r < nrows; ++r) {
-    buf.clear();
-    for (const auto* m : runs) {
-      const auto cs = m->row_cols(r);
-      const auto vs = m->row_vals(r);
-      for (std::size_t i = 0; i < cs.size(); ++i) {
-        buf.emplace_back(cs[i], vs[i]);
-      }
-    }
-    std::stable_sort(
-        buf.begin(), buf.end(),
-        [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t i = 0; i < buf.size();) {
-      T acc = buf[i].second;
-      std::size_t j = i + 1;
-      for (; j < buf.size() && buf[j].first == buf[i].first; ++j) {
-        acc = add(acc, buf[j].second);
-      }
-      if (drop_zero == nullptr || !(acc == *drop_zero)) {
-        cols.push_back(buf[i].first);
-        vals.push_back(acc);
-        ++row_ptr[static_cast<std::size_t>(r) + 1];
-      }
-      i = j;
-    }
-  }
-  for (index_t r = 0; r < nrows; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
-  }
-  return Csr<T>(nrows, ncols, std::move(row_ptr), std::move(cols),
-                std::move(vals));
-}
-
 }  // namespace i2a::sparse

@@ -126,10 +126,6 @@
 
 namespace i2a::stream {
 
-template <typename P>
-  requires algebra::Semiring<P>
-class ShardedBuilder;
-
 /// How a batch's incidence arrays draw their entries — mirrors the two
 /// batch-construction entry points (`incidence_arrays` /
 /// `weighted_incidence_arrays`).
@@ -150,10 +146,11 @@ enum class Compaction {
 inline constexpr std::size_t kUnboundedPendingMerges =
     static_cast<std::size_t>(-1);
 
-/// Aggregated construction options for `AdjacencyBuilder` /
-/// `ShardedBuilder`. The first block mirrors the positional constructor
-/// parameters; the second configures the durability subsystem
-/// (DESIGN.md §12) — all of it inert while `wal_dir` is empty.
+/// Construction options for `AdjacencyBuilder`, meant for designated
+/// initializers (`{.pool = &pool, .compaction = Compaction::kBackground}`).
+/// The first block shapes staging and compaction; the second configures
+/// the durability subsystem (DESIGN.md §12) — all of it inert while
+/// `wal_dir` is empty.
 struct Options {
   Weighting weighting = Weighting::kUnweighted;
   sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto;
@@ -166,7 +163,7 @@ struct Options {
   /// bit). A fresh builder refuses a directory that already holds
   /// durable state: that data is recoverable, so constructing over it
   /// would be silent data loss — use `recover()` instead.
-  std::string wal_dir;
+  std::string wal_dir = {};
   /// When an acknowledged batch is durable (see stream/wal.hpp).
   Durability durability = Durability::kFsyncEachBatch;
   /// WAL segment rotation threshold.
@@ -175,15 +172,6 @@ struct Options {
   /// background pool (0 = never). Checkpoints bound replay time and let
   /// fully-covered WAL segments retire.
   std::uint64_t checkpoint_every = 0;
-
-  /// Copy with durability stripped — what each shard of a
-  /// `ShardedBuilder` gets (the sharded builder owns the one WAL).
-  Options without_durability() const {
-    Options o = *this;
-    o.wal_dir.clear();
-    o.checkpoint_every = 0;
-    return o;
-  }
 };
 
 /// Maintains A over a batched edge stream for one operator pair.
@@ -216,68 +204,40 @@ class AdjacencyBuilder {
                                         ///< builds; see util/failpoint.hpp)
   };
 
-  /// `max_pending_merges` bounds the background-compaction debt (see the
-  /// file comment's backpressure section); ignored in inline mode, where
-  /// the ladder settles every ingest anyway.
+  /// `opts.max_pending_merges` bounds the background-compaction debt
+  /// (see the file comment's backpressure section); it is ignored in
+  /// inline mode, where the ladder settles every ingest anyway. A
+  /// non-empty `opts.wal_dir` attaches a fresh WAL (segment 0, epoch 0);
+  /// the directory must not already hold durable state (use
+  /// `recover()`).
   explicit AdjacencyBuilder(index_t num_vertices, P p = P{},
-                            Weighting weighting = Weighting::kUnweighted,
-                            sparse::SpGemmAlgo algo = sparse::SpGemmAlgo::kAuto,
-                            util::ThreadPool* pool = nullptr,
-                            Compaction compaction = Compaction::kInline,
-                            std::size_t max_pending_merges =
-                                kUnboundedPendingMerges)
-      : AdjacencyBuilder(num_vertices, std::move(p),
-                         Options{weighting, algo, pool, compaction,
-                                 max_pending_merges, {},
-                                 Durability::kFsyncEachBatch, 64ULL << 20,
-                                 0}) {}
-
-  /// Options-struct constructor — the durable entry point. A non-empty
-  /// `opts.wal_dir` attaches a fresh WAL (segment 0, epoch 0); the
-  /// directory must not already hold durable state (use `recover()`).
-  AdjacencyBuilder(index_t num_vertices, P p, const Options& opts)
-      : n_(num_vertices), p_(std::move(p)), weighting_(opts.weighting),
-        algo_(opts.algo), pool_(opts.pool), compaction_(opts.compaction),
-        max_pending_merges_(opts.max_pending_merges),
-        ladder_(std::make_shared<Ladder>()), wal_dir_(opts.wal_dir),
-        durability_(opts.durability),
-        wal_segment_bytes_(opts.wal_segment_bytes),
-        checkpoint_every_(opts.checkpoint_every) {
-    if (num_vertices < 0) {
-      throw std::invalid_argument("AdjacencyBuilder: negative vertex count");
-    }
-    if (compaction_ == Compaction::kBackground && pool_ == nullptr) {
-      // No pool means nothing can host the task; degrade to inline
-      // rather than silently never compacting.
-      compaction_ = Compaction::kInline;
-    }
-    if (!wal_dir_.empty()) {
-      manifest_ = make_manifest(/*shard_count=*/1);
-      util::ensure_dir(wal_dir_);
-      require_no_durable_state(wal_dir_);
-      wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
-                   /*seqno=*/0, /*start_epoch=*/0);
-    }
-  }
+                            const Options& opts = {})
+      : AdjacencyBuilder(num_vertices, std::move(p), opts, /*fresh=*/true) {}
 
   /// Rebuild a builder from the durable state in `opts.wal_dir`: load
   /// the newest fully-valid checkpoint (if any), replay the WAL suffix
   /// through the normal publish path — repairing a torn tail in the
   /// last segment — and attach a fresh segment for new batches. Refuses
   /// mismatched durable state (wrong algebra instantiation, vertex
-  /// count, shard count, or weighting) with `RecoveryError`; throws
-  /// `RecoveryError` on mid-log corruption or a broken epoch chain.
+  /// count, shard count other than 1, or weighting) with
+  /// `ManifestMismatch`; throws its base `RecoveryError` on mid-log
+  /// corruption or a broken epoch chain.
   /// Idempotent: recovering an already-recovered directory replays the
   /// identical batch sequence. An empty (or absent) directory yields a
   /// fresh builder at epoch 0. Cost counters other than `batches` and
   /// `edges` restart at zero for the checkpointed prefix.
   static AdjacencyBuilder recover(index_t num_vertices, P p,
                                   const Options& opts) {
-    return AdjacencyBuilder(RecoverTag{}, num_vertices, std::move(p), opts);
+    if (opts.wal_dir.empty()) {
+      throw std::invalid_argument("AdjacencyBuilder::recover: empty wal_dir");
+    }
+    AdjacencyBuilder b(num_vertices, std::move(p), opts, /*fresh=*/false);
+    b.replay_durable_state();
+    return b;
   }
 
   // One ladder, one owner: copying would alias the mutable run list.
-  // Moves keep vector<AdjacencyBuilder> (the shard array) workable.
+  // Moves let owners hold builders in optionals and containers.
   AdjacencyBuilder(const AdjacencyBuilder&) = delete;
   AdjacencyBuilder& operator=(const AdjacencyBuilder&) = delete;
   AdjacencyBuilder(AdjacencyBuilder&&) noexcept = default;
@@ -351,9 +311,12 @@ class AdjacencyBuilder {
   /// `Durability::kFsyncEachBatch` a normal return additionally means
   /// the batch is on stable storage (the acknowledged-durability
   /// contract the crash harness holds recovery to).
+  ///
+  /// Recovery replays logged batches through this same body before the
+  /// WAL is attached, so they are neither logged twice nor checkpointed.
   void ingest(std::span<const graph::Edge> batch) {
     rethrow_pending_error();
-    validate_batch(batch, "AdjacencyBuilder");
+    validate_batch(batch);
     Prepared prep = prepare_publish(stage(batch), batch.size());
     if (wal_) {
       std::uint64_t epoch = 0;
@@ -418,10 +381,6 @@ class AdjacencyBuilder {
   }
 
  private:
-  template <typename Q>
-    requires algebra::Semiring<Q>
-  friend class ShardedBuilder;
-
   /// One immutable ladder run: the ⊕-fold of `weight` consecutive
   /// non-empty batches.
   struct Run {
@@ -441,9 +400,8 @@ class AdjacencyBuilder {
     Stats stats I2A_GUARDED_BY(mu);
     /// True while a compaction holds the token.
     bool compacting I2A_GUARDED_BY(mu) = false;
-    /// True while a background checkpoint is in flight (at most one; a
-    /// ShardedBuilder parks its cross-shard checkpoint token on shard
-    /// 0's ladder, so drain/destruction wait on it through the same cv).
+    /// True while a background checkpoint is in flight (at most one);
+    /// drain and destruction wait on it through the same cv.
     bool checkpointing I2A_GUARDED_BY(mu) = false;
     /// Failed background merges, oldest first; each entry is delivered
     /// exactly once (drain / ingest pop, snapshot peeks).
@@ -452,9 +410,9 @@ class AdjacencyBuilder {
 
   /// The staged-but-uncommitted half of a publish. `prepare_publish` does
   /// everything that can throw; `commit_publish` consumes the result with
-  /// no fallible step before the batch counts as ingested — which is what
-  /// lets `ShardedBuilder` prepare every shard first and then commit them
-  /// all under one lock without risking a torn cross-shard epoch.
+  /// no fallible step before the batch counts as ingested. The WAL
+  /// append sits between the two, which is what gives `ingest()` its
+  /// strong guarantee: a failed append leaves nothing to undo.
   struct Prepared {
     bool inline_mode = false;
     std::vector<Run> runs;  ///< inline mode: the fully settled new list
@@ -466,27 +424,45 @@ class AdjacencyBuilder {
     std::size_t batch_edges = 0;
   };
 
-  /// Tag-dispatched recovery constructor (see `recover`). Delegates to
-  /// the normal constructor with durability stripped (so no fresh WAL
-  /// is attached yet), restores the checkpoint, replays the WAL suffix
-  /// through the normal publish path, then attaches a fresh segment.
-  struct RecoverTag {};
-  AdjacencyBuilder(RecoverTag, index_t num_vertices, P p, const Options& opts)
-      : AdjacencyBuilder(num_vertices, std::move(p),
-                         opts.without_durability()) {
-    if (opts.wal_dir.empty()) {
-      throw std::invalid_argument("AdjacencyBuilder::recover: empty wal_dir");
+  /// Shared by both entry points. A fresh durable builder refuses
+  /// existing durable state and attaches segment 0 at once; a
+  /// recovering one attaches its WAL in `replay_durable_state()`.
+  AdjacencyBuilder(index_t num_vertices, P p, const Options& opts,
+                   bool fresh)
+      : n_(num_vertices), p_(std::move(p)), weighting_(opts.weighting),
+        algo_(opts.algo), pool_(opts.pool), compaction_(opts.compaction),
+        max_pending_merges_(opts.max_pending_merges),
+        ladder_(std::make_shared<Ladder>()), wal_dir_(opts.wal_dir),
+        durability_(opts.durability),
+        wal_segment_bytes_(opts.wal_segment_bytes),
+        checkpoint_every_(opts.checkpoint_every),
+        manifest_{algebra_tag<P>(), static_cast<std::uint64_t>(n_),
+                  /*shard_count=*/1, static_cast<std::uint32_t>(weighting_)} {
+    if (num_vertices < 0) {
+      throw std::invalid_argument("AdjacencyBuilder: negative vertex count");
     }
-    wal_dir_ = opts.wal_dir;
-    durability_ = opts.durability;
-    wal_segment_bytes_ = opts.wal_segment_bytes;
-    checkpoint_every_ = opts.checkpoint_every;
-    manifest_ = make_manifest(/*shard_count=*/1);
+    if (compaction_ == Compaction::kBackground && pool_ == nullptr) {
+      // No pool means nothing can host the task; degrade to inline
+      // rather than silently never compacting.
+      compaction_ = Compaction::kInline;
+    }
+    if (wal_dir_.empty()) return;
     util::ensure_dir(wal_dir_);
+    if (!fresh) return;
+    require_no_durable_state(wal_dir_);
+    wal_.emplace(wal_dir_, manifest_, durability_, wal_segment_bytes_,
+                 /*seqno=*/0, /*start_epoch=*/0);
+  }
+
+  /// Recovery (see `recover`): restore the newest checkpoint, replay
+  /// the WAL suffix through `ingest()` — nothing is logged twice, since
+  /// no WAL is attached yet — then attach the segment after the last
+  /// one found.
+  void replay_durable_state() {
     std::uint64_t start_epoch = 0;
     if (auto ckpt = load_newest_checkpoint<value_type>(wal_dir_, manifest_)) {
       start_epoch = ckpt->epoch;
-      restore_runs(std::move(ckpt->shards[0]), ckpt->epoch, ckpt->edges[0]);
+      restore_runs(std::move(ckpt->runs), ckpt->epoch, ckpt->edges);
     }
     const WalReplayStats rstats = replay_wal(
         wal_dir_, manifest_, start_epoch,
@@ -495,8 +471,7 @@ class AdjacencyBuilder {
           // sweep can kill recovery itself mid-replay and prove a
           // second recover() of the same directory still succeeds.
           I2A_FAILPOINT("recover.replay");
-          ingest_unlogged(
-              std::span<const graph::Edge>(edges.data(), edges.size()));
+          ingest(std::span<const graph::Edge>(edges.data(), edges.size()));
         });
     std::uint64_t epoch_now = 0;
     {
@@ -507,32 +482,13 @@ class AdjacencyBuilder {
                  rstats.any_segment ? rstats.last_seqno + 1 : 0, epoch_now);
   }
 
-  /// The durable-directory identity this instantiation writes/expects.
-  WalManifest make_manifest(std::uint32_t shard_count) const {
-    return WalManifest{algebra_tag<P>(),
-                       static_cast<std::uint64_t>(n_), shard_count,
-                       static_cast<std::uint32_t>(weighting_)};
-  }
-
-  void validate_batch(std::span<const graph::Edge> batch,
-                      const char* who) const {
+  void validate_batch(std::span<const graph::Edge> batch) const {
     for (const graph::Edge& e : batch) {
       if (e.src < 0 || e.src >= n_ || e.dst < 0 || e.dst >= n_) {
-        throw std::out_of_range(std::string(who) +
-                                "::ingest: edge endpoint out of range");
+        throw std::out_of_range(
+            "AdjacencyBuilder::ingest: edge endpoint out of range");
       }
     }
-  }
-
-  /// The full publish path minus WAL append and checkpoint scheduling —
-  /// what replay feeds recorded batches through (logging them again
-  /// would duplicate frames).
-  void ingest_unlogged(std::span<const graph::Edge> batch) {
-    rethrow_pending_error();
-    validate_batch(batch, "AdjacencyBuilder");
-    Prepared prep = prepare_publish(stage(batch), batch.size());
-    commit_publish(std::move(prep));
-    maybe_backpressure();
   }
 
   /// Install a checkpoint's run list into an untouched ladder
@@ -561,21 +517,21 @@ class AdjacencyBuilder {
     if (!wal_ || checkpoint_every_ == 0) return;
     std::uint64_t epoch = 0;
     std::uint64_t edges = 0;
-    std::vector<std::vector<CheckpointRun<value_type>>> shard_runs(1);
+    std::vector<CheckpointRun<value_type>> runs;
     {
       util::MutexLock lock(ladder_->mu);
       epoch = ladder_->stats.batches;
       if (epoch == 0 || epoch % checkpoint_every_ != 0) return;
       if (ladder_->checkpointing) return;  // one in flight; skip boundary
-      shard_runs[0].reserve(ladder_->runs.size());
+      runs.reserve(ladder_->runs.size());
       for (const Run& r : ladder_->runs) {
-        shard_runs[0].push_back(CheckpointRun<value_type>{r.csr, r.weight});
+        runs.push_back(CheckpointRun<value_type>{r.csr, r.weight});
       }
       edges = ladder_->stats.edges;
       ladder_->checkpointing = true;  // the last fallible step was above
     }
     dispatch_checkpoint(ladder_, pool_, wal_dir_, manifest_, epoch,
-                        std::move(shard_runs), {edges}, wal_->seqno());
+                        std::move(runs), edges, wal_->seqno());
   }
 
   /// Build and hand off the checkpoint task. `lad` must already hold
@@ -589,15 +545,13 @@ class AdjacencyBuilder {
   static void dispatch_checkpoint(
       std::shared_ptr<Ladder> lad, util::ThreadPool* pool, std::string dir,
       WalManifest manifest, std::uint64_t epoch,
-      std::vector<std::vector<CheckpointRun<value_type>>> shard_runs,
-      std::vector<std::uint64_t> edges, std::uint64_t active_seqno)
-      I2A_EXCLUDES(lad->mu) {
+      std::vector<CheckpointRun<value_type>> runs, std::uint64_t edges,
+      std::uint64_t active_seqno) I2A_EXCLUDES(lad->mu) {
     auto task = [lad, dir = std::move(dir), manifest = std::move(manifest),
-                 epoch, shard_runs = std::move(shard_runs),
-                 edges = std::move(edges), active_seqno]() {
+                 epoch, runs = std::move(runs), edges, active_seqno]() {
       std::exception_ptr failure;
       try {
-        write_checkpoint<value_type>(dir, manifest, epoch, shard_runs, edges);
+        write_checkpoint<value_type>(dir, manifest, epoch, runs, edges);
         gc_checkpoints(dir, epoch);
         Wal::retire_segments(dir, epoch, active_seqno);
       } catch (...) {
@@ -653,9 +607,8 @@ class AdjacencyBuilder {
   }
 
   /// Build a batch's delta adjacency — no ladder state is touched, so
-  /// staging runs lock-free (and `ShardedBuilder` stages every shard
-  /// before taking its publish lock). Returns nullptr for an empty batch
-  /// (the ⊕-identity contribution).
+  /// staging runs lock-free. Returns nullptr for an empty batch (the
+  /// ⊕-identity contribution).
   std::shared_ptr<const sparse::Csr<value_type>> stage(
       std::span<const graph::Edge> batch) const {
     if (batch.empty()) return nullptr;
@@ -1008,9 +961,9 @@ class AdjacencyBuilder {
   // Durability (inert unless wal_ is engaged; writer-thread-only, like
   // every other ingest-path member).
   std::string wal_dir_;
-  Durability durability_ = Durability::kFsyncEachBatch;
-  std::uint64_t wal_segment_bytes_ = 64ULL << 20;
-  std::uint64_t checkpoint_every_ = 0;
+  Durability durability_;
+  std::uint64_t wal_segment_bytes_;
+  std::uint64_t checkpoint_every_;
   WalManifest manifest_;
   std::optional<Wal> wal_;
 };

@@ -5,9 +5,11 @@
 ///        suffix (DESIGN.md §12).
 ///
 /// A checkpoint is one file, `checkpoint-<epoch>.ckpt`, holding a header
-/// frame (format version, epoch, manifest, total run count) followed by
-/// one frame per ladder run — shard-tagged, so a ShardedBuilder's
-/// per-shard ladders round-trip exactly. Every frame carries the usual
+/// frame (format version, epoch, manifest, edge counter, run count)
+/// followed by one frame per ladder run, oldest first. Each run frame
+/// still carries a u32 shard tag, always 0 — a leftover of a retired
+/// multi-ladder layout, kept so the format stays byte-stable and older
+/// directories keep recovering. Every frame carries the usual
 /// CRC32C (util/io.hpp), and the file becomes visible atomically:
 /// written to a `.tmp` name, fsynced, renamed into place, parent
 /// directory fsynced. A crash at any point leaves either the previous
@@ -49,7 +51,7 @@
 namespace i2a::stream {
 
 /// One serialized ladder run: the immutable CSR plus its ladder weight
-/// (number of batches it covers), per shard.
+/// (number of batches it covers).
 template <typename V>
 struct CheckpointRun {
   std::shared_ptr<const sparse::Csr<V>> csr;
@@ -60,12 +62,11 @@ struct CheckpointRun {
 template <typename V>
 struct LoadedCheckpoint {
   std::uint64_t epoch = 0;
-  /// Outer index = shard (size == manifest.shard_count), inner =
-  /// oldest-first runs, matching the ladder's order.
-  std::vector<std::vector<CheckpointRun<V>>> shards;
-  /// Per-shard ingested-edge counters at `epoch`, so recovery restores
-  /// `stats.edges` exactly (size == manifest.shard_count).
-  std::vector<std::uint64_t> edges;
+  /// Oldest-first runs, matching the ladder's order.
+  std::vector<CheckpointRun<V>> runs;
+  /// Ingested-edge counter at `epoch`, so recovery restores
+  /// `stats.edges` exactly.
+  std::uint64_t edges = 0;
 };
 
 inline std::string checkpoint_name(std::uint64_t epoch) {
@@ -94,21 +95,14 @@ inline std::optional<std::uint64_t> parse_checkpoint_name(
 }
 
 /// Write `checkpoint-<epoch>.ckpt` atomically (tmp + fsync + rename +
-/// dir fsync). `shards[s]` is shard s's oldest-first run list; run CSRs
-/// are read but not retained. Throws util::IoError / FailpointError on
-/// failure, after deleting the temp file.
+/// dir fsync). `runs` is the oldest-first run list; run CSRs are read
+/// but not retained. Throws util::IoError / FailpointError on failure,
+/// after deleting the temp file.
 template <typename V>
-std::string write_checkpoint(
-    const std::string& dir, const WalManifest& manifest, std::uint64_t epoch,
-    const std::vector<std::vector<CheckpointRun<V>>>& shards,
-    const std::vector<std::uint64_t>& edges_per_shard) {
-  I2A_EXPECTS(shards.size() == manifest.shard_count,
-              "checkpoint: run lists do not match the manifest shard count");
-  I2A_EXPECTS(edges_per_shard.size() == manifest.shard_count,
-              "checkpoint: edge counters do not match the shard count");
-  std::uint64_t total_runs = 0;
-  for (const auto& runs : shards) total_runs += runs.size();
-
+std::string write_checkpoint(const std::string& dir,
+                             const WalManifest& manifest, std::uint64_t epoch,
+                             const std::vector<CheckpointRun<V>>& runs,
+                             std::uint64_t edges) {
   const std::string final_path = dir + "/" + checkpoint_name(epoch);
   const std::string tmp_path = final_path + ".tmp";
   if (util::file_exists(tmp_path)) util::remove_file(tmp_path);
@@ -120,29 +114,27 @@ std::string write_checkpoint(
       w.u32(kWalFormatVersion);
       w.u64(epoch);
       encode_manifest(w, manifest);
-      for (const std::uint64_t e : edges_per_shard) w.u64(e);
-      w.u64(total_runs);
+      w.u64(edges);
+      w.u64(runs.size());
       util::write_frame(f, w.buffer());
     }
     I2A_FAILPOINT("checkpoint.write");
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      for (const CheckpointRun<V>& run : shards[s]) {
-        const sparse::Csr<V>& csr = *run.csr;
-        util::ByteWriter w;
-        w.u32(kFrameCheckpointRun);
-        w.u32(static_cast<std::uint32_t>(s));
-        w.u64(run.weight);
-        w.u64(static_cast<std::uint64_t>(csr.nrows()));
-        w.u64(static_cast<std::uint64_t>(csr.ncols()));
-        w.u64(static_cast<std::uint64_t>(csr.nnz()));
-        for (const index_t v : csr.row_ptr()) w.i64(v);
-        for (const index_t v : csr.cols()) w.i64(v);
-        // Values ride as raw bit patterns; the manifest's algebra tag
-        // pins sizeof(V), so a mismatched instantiation can't misread
-        // them.
-        w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
-        util::write_frame(f, w.buffer());
-      }
+    for (const CheckpointRun<V>& run : runs) {
+      const sparse::Csr<V>& csr = *run.csr;
+      util::ByteWriter w;
+      w.u32(kFrameCheckpointRun);
+      w.u32(0);  // shard tag (see the file comment)
+      w.u64(run.weight);
+      w.u64(static_cast<std::uint64_t>(csr.nrows()));
+      w.u64(static_cast<std::uint64_t>(csr.ncols()));
+      w.u64(static_cast<std::uint64_t>(csr.nnz()));
+      for (const index_t v : csr.row_ptr()) w.i64(v);
+      for (const index_t v : csr.cols()) w.i64(v);
+      // Values ride as raw bit patterns; the manifest's algebra tag
+      // pins sizeof(V), so a mismatched instantiation can't misread
+      // them.
+      w.bytes(csr.vals().data(), csr.vals().size() * sizeof(V));
+      util::write_frame(f, w.buffer());
     }
     f.sync();
     f.close();
@@ -156,12 +148,8 @@ std::string write_checkpoint(
 }
 
 /// Parse one checkpoint file completely. Throws RecoveryError on any
-/// structural problem (torn frame, bad counts, manifest mismatch — the
-/// caller distinguishes mismatch by catching ManifestMismatch below).
-struct ManifestMismatch final : RecoveryError {
-  explicit ManifestMismatch(const std::string& what) : RecoveryError(what) {}
-};
-
+/// structural problem (torn frame, bad counts) and its ManifestMismatch
+/// subtype on a manifest mismatch, which callers tell apart by type.
 template <typename V>
 LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
                                      const WalManifest& expected) {
@@ -189,12 +177,8 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
                              "': checkpoint has " + m.describe() +
                              ", builder is " + expected.describe());
     }
-    out.edges.reserve(expected.shard_count);
-    for (std::uint32_t s = 0; s < expected.shard_count; ++s) {
-      out.edges.push_back(r.u64());
-    }
+    out.edges = r.u64();
     const std::uint64_t total_runs = r.u64();
-    out.shards.resize(expected.shard_count);
     for (std::uint64_t i = 0; i < total_runs; ++i) {
       if (reader.next(payload) != util::FrameStatus::kOk) {
         throw corrupt("missing run frame " + std::to_string(i));
@@ -203,8 +187,7 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
       if (rr.u32() != kFrameCheckpointRun) {
         throw corrupt("unexpected frame type for run " + std::to_string(i));
       }
-      const std::uint32_t shard = rr.u32();
-      if (shard >= expected.shard_count) {
+      if (const std::uint32_t shard = rr.u32(); shard != 0) {
         throw corrupt("run frame names shard " + std::to_string(shard));
       }
       CheckpointRun<V> run;
@@ -232,7 +215,7 @@ LoadedCheckpoint<V> parse_checkpoint(const std::string& path,
       run.csr = std::make_shared<const sparse::Csr<V>>(
           static_cast<index_t>(nrows), static_cast<index_t>(ncols),
           std::move(row_ptr), std::move(cols), std::move(vals));
-      out.shards[shard].push_back(std::move(run));
+      out.runs.push_back(std::move(run));
     }
     if (reader.next(payload) != util::FrameStatus::kEnd) {
       throw corrupt("trailing bytes after the declared run count");

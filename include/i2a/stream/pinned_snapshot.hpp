@@ -57,11 +57,10 @@ class PinnedSnapshot {
   using RowScratch = sparse::detail::MergeScratch<value_type>;
 
   /// Pins `runs` (oldest first; all shape n × n). Built by
-  /// `AdjacencyBuilder::snapshot()` / `ShardedBuilder::snapshot()`;
-  /// public so tests and custom serving layers can assemble run-sets of
-  /// their own. `pending_error` is the builder's oldest undelivered
-  /// background-compaction failure at pin time, if any (see
-  /// `pending_error()`).
+  /// `AdjacencyBuilder::snapshot()`; public so tests and custom serving
+  /// layers can assemble run-sets of their own. `pending_error` is the
+  /// builder's oldest undelivered background-compaction failure at pin
+  /// time, if any (see `pending_error()`).
   PinnedSnapshot(index_t num_vertices, P p, std::uint64_t batches,
                  std::vector<std::shared_ptr<const sparse::Csr<value_type>>>
                      runs,
@@ -90,13 +89,6 @@ class PinnedSnapshot {
   /// *layout*, not of the data — is behind). Readers that care can
   /// `std::rethrow_exception` it or merely flag degraded service.
   const std::exception_ptr& pending_error() const { return pending_error_; }
-
-  /// The pinned run handles, oldest first — what `ShardedBuilder`
-  /// concatenates across shards.
-  const std::vector<std::shared_ptr<const sparse::Csr<value_type>>>&
-  run_handles() const {
-    return owners_;
-  }
 
   RowScratch row_scratch() const { return RowScratch{}; }
 

@@ -37,10 +37,10 @@
 ///
 /// **Segments.** Frames land in `wal-<seqno>.log` files, rotated once a
 /// segment exceeds `segment_bytes`. Every segment opens with a header
-/// frame naming the manifest (algebra tag, vertex count, shard count,
-/// weighting) and the epoch the segment starts after, so recovery can
-/// refuse a mismatched log and checkpointing can retire fully-covered
-/// segments.
+/// frame naming the manifest (algebra tag, vertex count, shard count —
+/// always 1 — and weighting) and the epoch the segment starts after, so
+/// recovery can refuse a mismatched log and checkpointing can retire
+/// fully-covered segments.
 ///
 /// Failpoints: `wal.append.write` fires inside a frame's torn window
 /// (after the header write, before the payload write) and
@@ -82,6 +82,13 @@ class RecoveryError : public std::runtime_error {
       : std::runtime_error("i2a recovery: " + what) {}
 };
 
+/// The RecoveryError for durable state that is intact but was written
+/// under a different manifest — operator error, not crash residue, so
+/// recovery never falls back past it.
+struct ManifestMismatch final : RecoveryError {
+  explicit ManifestMismatch(const std::string& what) : RecoveryError(what) {}
+};
+
 /// Identity of a durable directory. Recovery refuses to replay state
 /// written under a different manifest (wrong algebra instantiation,
 /// vertex count, shard count, or weighting) — replaying "+.*" frames
@@ -89,6 +96,9 @@ class RecoveryError : public std::runtime_error {
 struct WalManifest {
   std::string algebra;        ///< P::name() + "/" + sizeof(value_type)
   std::uint64_t num_vertices = 0;
+  /// Always 1: one builder owns the log. Kept as a field so the on-disk
+  /// format stays byte-stable and a directory recording any other count
+  /// is refused.
   std::uint32_t shard_count = 1;
   std::uint32_t weighting = 0;  ///< underlying value of stream::Weighting
 
@@ -389,8 +399,8 @@ inline void truncate_segment(const std::string& path, std::uint64_t keep,
 /// ftruncated back to the last valid frame boundary and replay
 /// succeeds. The same residue in any earlier segment cannot come from a
 /// tail crash (a later segment exists, so this one was sealed) and is
-/// reported as RecoveryError. Epoch gaps and manifest mismatches are
-/// always RecoveryError.
+/// reported as RecoveryError. Epoch gaps are always RecoveryError, and
+/// manifest mismatches always ManifestMismatch.
 ///
 /// Idempotent: re-running on the directory it just repaired replays the
 /// identical batch sequence (truncation only ever removes bytes replay
@@ -445,9 +455,9 @@ WalReplayStats replay_wal(const std::string& dir,
         r.u64();  // seqno
         r.u64();  // segment start epoch (informational; the chain rules)
         if (const WalManifest m = decode_manifest(r); m != expected) {
-          throw RecoveryError("manifest mismatch in '" + seg.path +
-                              "': log has " + m.describe() + ", builder is " +
-                              expected.describe());
+          throw ManifestMismatch("manifest mismatch in '" + seg.path +
+                                 "': log has " + m.describe() +
+                                 ", builder is " + expected.describe());
         }
       } catch (const util::IoError&) {
         throw corrupt("truncated segment header payload");

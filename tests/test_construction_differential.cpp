@@ -1,9 +1,10 @@
 /// \file test_construction_differential.cpp
 /// \brief The sort-free assembly engine must be indistinguishable from
 ///        the stable-sort reference: `Csr::from_coo` vs
-///        `Csr::from_coo_reference` across every `DupPolicy`, on inputs
-///        with heavy duplicates, shuffled order, empty rows, and empty
-///        matrices — serial and under pools {1, 4}, compared bitwise
+///        `from_coo_reference` (tests/reference_oracles.hpp) across
+///        every `DupPolicy`, on inputs with heavy duplicates, shuffled
+///        order, empty rows, and empty matrices — serial and under
+///        pools {1, 4}, compared bitwise
 ///        (both fold a (row, col) group's duplicates in push order, so
 ///        even FP kSum must agree bit for bit). The direct incidence
 ///        assembly is likewise pinned to the old COO + reference path.
@@ -19,6 +20,7 @@
 #include "sparse/csr.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "reference_oracles.hpp"
 #include "test_util.hpp"
 
 using namespace i2a;
@@ -42,7 +44,7 @@ template <typename MakeCoo>
 void check_against_reference(const MakeCoo& make) {
   util::ThreadPool pool1(1), pool4(4);
   for (const auto policy : kPolicies) {
-    const auto ref = sparse::Csr<double>::from_coo_reference(make(), policy);
+    const auto ref = test::from_coo_reference(make(), policy);
     CHECK(identical(sparse::Csr<double>::from_coo(make(), policy), ref));
     CHECK(identical(sparse::Csr<double>::from_coo(make(), policy, &pool1),
                     ref));
@@ -148,10 +150,8 @@ graph::IncidencePair<double> incidence_via_reference(const graph::Graph& g,
     in.push(e, edges[static_cast<std::size_t>(e)].dst, draw(e, false));
   }
   return graph::IncidencePair<double>{
-      sparse::Csr<double>::from_coo_reference(std::move(out),
-                                              sparse::DupPolicy::kKeepFirst),
-      sparse::Csr<double>::from_coo_reference(std::move(in),
-                                              sparse::DupPolicy::kKeepFirst)};
+      test::from_coo_reference(std::move(out), sparse::DupPolicy::kKeepFirst),
+      test::from_coo_reference(std::move(in), sparse::DupPolicy::kKeepFirst)};
 }
 
 void test_incidence_direct_vs_reference() {

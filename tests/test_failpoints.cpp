@@ -3,9 +3,9 @@
 ///
 /// Built with -DI2A_FAILPOINTS=ON (the CI fault-injection leg), this
 /// suite arms every documented failpoint one at a time — across error
-/// kinds (library failure / allocation failure), compaction modes
-/// (inline / background), and builder shapes (single / sharded) — and
-/// asserts the documented per-API guarantee for each:
+/// kinds (library failure / allocation failure) and compaction modes
+/// (inline / background on workerless and worker pools) — and asserts
+/// the documented per-API guarantee for each:
 ///
 ///   * strong guarantee: an ingest that throws consumed nothing — same
 ///     epoch, same bytes as the pre-failure prefix oracle;
@@ -43,7 +43,6 @@
 #include "graph/generators.hpp"
 #include "graph/incidence.hpp"
 #include "stream/adjacency_builder.hpp"
-#include "stream/sharded_builder.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
 #include "util/prng.hpp"
@@ -57,7 +56,6 @@ namespace {
 
 using PT = algebra::PlusTimes<double>;
 using Builder = stream::AdjacencyBuilder<PT>;
-using Sharded = stream::ShardedBuilder<PT>;
 using Reg = util::FailpointRegistry;
 using Sched = Reg::Schedule;
 using Kind = Reg::Kind;
@@ -229,17 +227,13 @@ void test_expected_sites() {
   const auto batches = make_batches(g, 8);
   util::ThreadPool pool(1);
   {
-    Builder b(16, p, stream::Weighting::kUnweighted,
-              sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+    Builder b(16, p,
+              {.pool = &pool,
+               .compaction = stream::Compaction::kBackground});
     for (const auto& batch : batches) b.ingest(batch);
     b.drain();
     CHECK(csr_bitwise_equal(b.adjacency(),
                             oracle_prefix(16, batches, batches.size())));
-  }
-  {
-    Sharded sb(16, 2, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, nullptr, stream::Compaction::kInline);
-    for (const auto& batch : batches) sb.ingest(batch);
   }
   {
     std::string dir = "/tmp/i2a-fp-warmup-XXXXXX";
@@ -278,9 +272,8 @@ void test_expected_sites() {
 /// `deterministic` means background tasks run synchronously inside
 /// ingest (workerless pool), which makes the deferred-error peek
 /// observable at a known point.
-template <typename AnyBuilder>
 void sweep_one(const char* site, Kind kind, bool background,
-               bool deterministic, AnyBuilder& builder,
+               bool deterministic, Builder& builder,
                const std::vector<std::vector<graph::Edge>>& batches,
                const sparse::Csr<double>& oracle_arm,
                const sparse::Csr<double>& oracle_full, std::size_t arm_at) {
@@ -376,38 +369,22 @@ void test_sweep() {
     const char* site = site_name.c_str();
     for (const Kind kind : {Kind::kError, Kind::kBadAlloc}) {
       {  // inline mode, single builder: strong guarantee end to end
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, nullptr,
-                  stream::Compaction::kInline);
+        Builder b(n, p);
         sweep_one(site, kind, false, true, b, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // background, deterministic (workerless pool)
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, &workerless,
-                  stream::Compaction::kBackground);
+        Builder b(n, p,
+                  {.pool = &workerless,
+                   .compaction = stream::Compaction::kBackground});
         sweep_one(site, kind, true, true, b, batches, oracle_arm,
                   oracle_full, arm_at);
       }
       {  // background with real workers (concurrent timing)
-        Builder b(n, p, stream::Weighting::kUnweighted,
-                  sparse::SpGemmAlgo::kAuto, &workers,
-                  stream::Compaction::kBackground);
+        Builder b(n, p,
+                  {.pool = &workers,
+                   .compaction = stream::Compaction::kBackground});
         sweep_one(site, kind, true, false, b, batches, oracle_arm,
-                  oracle_full, arm_at);
-      }
-      {  // sharded, inline: the two-phase cross-shard strong guarantee
-        Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, nullptr,
-                   stream::Compaction::kInline);
-        sweep_one(site, kind, false, true, sb, batches, oracle_arm,
-                  oracle_full, arm_at);
-      }
-      {  // sharded, background, deterministic
-        Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, &workerless,
-                   stream::Compaction::kBackground);
-        sweep_one(site, kind, true, true, sb, batches, oracle_arm,
                   oracle_full, arm_at);
       }
     }
@@ -426,8 +403,9 @@ void test_repeated_background_failures() {
   auto& reg = Reg::instance();
   const char* site = "merge.count.scratch";
   const std::uint64_t fired_before = reg.fired(site);
-  Builder bg(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-             &workerless, stream::Compaction::kBackground);
+  Builder bg(n, p,
+             {.pool = &workerless,
+              .compaction = stream::Compaction::kBackground});
   std::uint64_t deliveries = 0;
   {
     util::ScopedFailpoint fp(site, Sched::always());
@@ -451,8 +429,7 @@ void test_repeated_background_failures() {
   // settles to byte parity with a clean inline-mode builder.
   bg.ingest(std::vector<graph::Edge>{});
   bg.drain();
-  Builder inl(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              nullptr, stream::Compaction::kInline);
+  Builder inl(n, p);
   for (const auto& batch : batches) inl.ingest(batch);
   CHECK(csr_bitwise_equal(bg.adjacency(), inl.adjacency()));
   CHECK(csr_bitwise_equal(bg.adjacency(),
@@ -527,9 +504,9 @@ void test_destructor_error_contract() {
   const auto batches = make_batches(g, 16);  // 6 batches
   util::ThreadPool workerless(1);
   const auto mk = [&] {
-    return Builder(n, p, stream::Weighting::kUnweighted,
-                   sparse::SpGemmAlgo::kAuto, &workerless,
-                   stream::Compaction::kBackground);
+    return Builder(n, p,
+                   {.pool = &workerless,
+                    .compaction = stream::Compaction::kBackground});
   };
   {  // clean builder: nothing to dismiss, destructor quiet
     Builder b = mk();
@@ -578,13 +555,8 @@ void test_destructor_error_contract() {
 /// pinned in the window *between* the error-queue push (the background
 /// merge failed) and the next ingest (the delivery point) must peek the
 /// error — repeatedly, without consuming it — and the subsequent ingest
-/// must still deliver it exactly once with the batch unconsumed. Run
-/// against both builder shapes; for the sharded builder, "exactly once
-/// across shards" means the fused snapshot reports the one failing
-/// shard's error and the whole epoch stays untorn on the rejected
-/// ingest.
-template <typename AnyBuilder>
-void pending_error_window_run(AnyBuilder& builder,
+/// must still deliver it exactly once with the batch unconsumed.
+void pending_error_window_run(Builder& builder,
                               const std::vector<std::vector<graph::Edge>>&
                                   batches,
                               bool deterministic) {
@@ -622,7 +594,7 @@ void pending_error_window_run(AnyBuilder& builder,
     threw = true;
   }
   CHECK(threw);
-  CHECK_EQ(builder.stats().batches, epoch);  // no shard/epoch advanced
+  CHECK_EQ(builder.stats().batches, epoch);  // the epoch did not advance
   // Exactly once: the queue is now empty — the retry succeeds and a
   // fresh snapshot is clean.
   builder.ingest(batches[2]);
@@ -644,27 +616,16 @@ void test_pending_error_window() {
   util::ThreadPool workerless(1);
   util::ThreadPool workers(3);
   {  // single builder, deterministic: the merge fails inside ingest
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workerless, stream::Compaction::kBackground);
+    Builder b(n, p,
+              {.pool = &workerless,
+               .compaction = stream::Compaction::kBackground});
     pending_error_window_run(b, batches, true);
   }
   {  // single builder, real workers: the window opens asynchronously
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workers, stream::Compaction::kBackground);
+    Builder b(n, p,
+              {.pool = &workers,
+               .compaction = stream::Compaction::kBackground});
     pending_error_window_run(b, batches, false);
-  }
-  {  // sharded: one shard fails, the fused snapshot reports it, the
-     // rejected ingest leaves every shard at the old epoch
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workerless,
-               stream::Compaction::kBackground);
-    pending_error_window_run(sb, batches, true);
-  }
-  {  // sharded with real workers
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workers,
-               stream::Compaction::kBackground);
-    pending_error_window_run(sb, batches, false);
   }
 }
 
@@ -678,33 +639,16 @@ void test_backpressure_budget_zero() {
   const auto g = fail_graph(n, 200, 555);
   const auto batches = make_batches(g, 10);  // 20 batches
   util::ThreadPool pool(3);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &pool, stream::Compaction::kBackground, /*max_pending_merges=*/0);
+  Builder b(n, p,
+            {.pool = &pool,
+             .compaction = stream::Compaction::kBackground,
+             .max_pending_merges = 0});
   for (const auto& batch : batches) {
     b.ingest(batch);
     CHECK_EQ(b.stats().pending_merges, 0u);
   }
   b.drain();
   CHECK(csr_bitwise_equal(b.adjacency(),
-                          oracle_prefix(n, batches, batches.size())));
-}
-
-/// Same invariant through the sharded layer (debt bounded per shard).
-void test_backpressure_sharded() {
-  const PT p{};
-  const index_t n = 24;
-  const auto g = fail_graph(n, 200, 777);
-  const auto batches = make_batches(g, 10);
-  util::ThreadPool pool(3);
-  Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-             sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground,
-             /*max_pending_merges=*/0);
-  for (const auto& batch : batches) {
-    sb.ingest(batch);
-    CHECK_EQ(sb.stats().pending_merges, 0u);
-  }
-  sb.drain();
-  CHECK(csr_bitwise_equal(sb.adjacency(),
                           oracle_prefix(n, batches, batches.size())));
 }
 
@@ -721,8 +665,9 @@ void test_submit_fallback_events() {
   auto& reg = Reg::instance();
   const char* site = "builder.background.submit";
   const std::uint64_t fired_before = reg.fired(site);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &workerless, stream::Compaction::kBackground);
+  Builder b(n, p,
+            {.pool = &workerless,
+             .compaction = stream::Compaction::kBackground});
   {
     util::ScopedFailpoint fp(site, Sched::always());
     for (const auto& batch : batches) b.ingest(batch);  // never throws
@@ -747,8 +692,7 @@ std::uint64_t soak_seed() {
 /// says which batch to ingest next — a strong-guarantee throw retries
 /// the same batch, a deferred delivery flushes and moves on), then
 /// disarm and converge to the oracle.
-template <typename AnyBuilder>
-void soak_run(std::uint64_t seed, AnyBuilder& builder,
+void soak_run(std::uint64_t seed, Builder& builder,
               const std::vector<std::vector<graph::Edge>>& batches,
               const sparse::Csr<double>& oracle_full) {
   auto& reg = Reg::instance();
@@ -811,20 +755,14 @@ void test_soak() {
   const auto oracle_full = oracle_prefix(n, batches, batches.size());
   util::ThreadPool workerless(1);
   {
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              nullptr, stream::Compaction::kInline);
+    Builder b(n, p);
     soak_run(seed, b, batches, oracle_full);
   }
   {
-    Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-              &workerless, stream::Compaction::kBackground);
+    Builder b(n, p,
+              {.pool = &workerless,
+               .compaction = stream::Compaction::kBackground});
     soak_run(seed + 101, b, batches, oracle_full);
-  }
-  {
-    Sharded sb(n, 3, p, stream::Weighting::kUnweighted,
-               sparse::SpGemmAlgo::kAuto, &workerless,
-               stream::Compaction::kBackground);
-    soak_run(seed + 202, sb, batches, oracle_full);
   }
 }
 
@@ -840,18 +778,16 @@ void test_zero_cost_when_disabled() {
   const auto g = fail_graph(n, 80, 7);
   const auto batches = make_batches(g, 8);
   util::ThreadPool pool(2);
-  Builder b(n, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-            &pool, stream::Compaction::kBackground);
+  Builder b(n, p,
+            {.pool = &pool,
+             .compaction = stream::Compaction::kBackground});
   for (const auto& batch : batches) b.ingest(batch);
   b.drain();
   CHECK(csr_bitwise_equal(b.adjacency(),
                           oracle_prefix(n, batches, batches.size())));
-  Sharded sb(n, 2, p);
-  for (const auto& batch : batches) sb.ingest(batch);
   CHECK(Reg::instance().sites().empty());
   CHECK_EQ(util::failpoints_fired_total(), 0u);
   CHECK_EQ(b.stats().failpoints_hit, 0u);
-  CHECK_EQ(sb.stats().failpoints_hit, 0u);
 }
 
 #endif  // I2A_FAILPOINTS_ENABLED
@@ -869,7 +805,6 @@ int main() {
   test_destructor_error_contract();
   test_pending_error_window();
   test_backpressure_budget_zero();
-  test_backpressure_sharded();
   test_submit_fallback_events();
   test_soak();
 #else

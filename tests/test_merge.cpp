@@ -2,7 +2,8 @@
 /// \brief Differential + edge-case suite for the parallel semiring CSR
 ///        ⊕-merge (sparse/merge.hpp): every engine output is bitwise
 ///        -compared against `merge_add_reference` (a deliberately
-///        independent concatenate/stable-sort/fold-left oracle) across
+///        independent concatenate/stable-sort/fold-left oracle in
+///        tests/reference_oracles.hpp) across
 ///        pool sizes, and the Definition I.5 zero-dropping knob and the
 ///        exception-from-chunk semantics are pinned explicitly.
 
@@ -17,6 +18,7 @@
 #include "sparse/merge.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
+#include "reference_oracles.hpp"
 #include "test_util.hpp"
 
 using namespace i2a;
@@ -45,7 +47,7 @@ sparse::Csr<double> random_csr(index_t nr, index_t nc, index_t nnz,
 /// Engine vs oracle across pool sizes {serial, 1, 4, 8}, bitwise.
 void check_matches_reference(const std::vector<const sparse::Csr<double>*>& runs,
                              const double* drop_zero = nullptr) {
-  const auto expected = sparse::merge_add_reference(runs, plus, drop_zero);
+  const auto expected = test::merge_add_reference(runs, plus, drop_zero);
   const auto serial = sparse::merge_add_k(runs, plus, nullptr, drop_zero);
   CHECK(csr_bitwise_equal(serial, expected));
   for (const std::size_t threads : {1u, 4u, 8u}) {
@@ -120,10 +122,9 @@ void test_kway_random() {
                                                    runs.rend());
   const auto fwd = sparse::merge_add_k(runs, keep_right);
   const auto rev = sparse::merge_add_k(reversed, keep_right);
-  CHECK(csr_bitwise_equal(fwd,
-                      sparse::merge_add_reference(runs, keep_right)));
+  CHECK(csr_bitwise_equal(fwd, test::merge_add_reference(runs, keep_right)));
   CHECK(csr_bitwise_equal(rev,
-                      sparse::merge_add_reference(reversed, keep_right)));
+                          test::merge_add_reference(reversed, keep_right)));
 }
 
 void test_explicit_zero_entries() {
@@ -189,7 +190,7 @@ void test_exception_from_chunk() {
       // The pool must remain serviceable after capturing the throw.
       const auto ok = sparse::merge_add(a, b, plus, &pool);
       CHECK(csr_bitwise_equal(
-          ok, sparse::merge_add_reference<double>({&a, &b}, plus)));
+          ok, test::merge_add_reference<double>({&a, &b}, plus)));
     }
   }
 }

@@ -42,7 +42,6 @@
 #include "graph/incidence.hpp"
 #include "stream/adjacency_builder.hpp"
 #include "stream/checkpoint.hpp"
-#include "stream/sharded_builder.hpp"
 #include "stream/wal.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
@@ -57,8 +56,8 @@ namespace {
 
 using PT = algebra::PlusTimes<double>;
 using Builder = stream::AdjacencyBuilder<PT>;
-using Sharded = stream::ShardedBuilder<PT>;
 using stream::Durability;
+using stream::ManifestMismatch;
 using stream::Options;
 using stream::RecoveryError;
 
@@ -409,38 +408,6 @@ void test_recover_with_checkpoint() {
                           oracle_prefix(kN, batches, batches.size())));
 }
 
-void test_sharded_recover() {
-  TempDir td;
-  const auto batches = trial_batches(51);
-  util::ThreadPool pool(2);
-  Options opts = durable_opts(td.path);
-  opts.pool = &pool;
-  opts.compaction = stream::Compaction::kBackground;
-  opts.checkpoint_every = 4;
-  {
-    Sharded sb(kN, 4, PT{}, opts);
-    for (const auto& batch : batches) sb.ingest(batch);
-    sb.drain();
-    CHECK(sb.stats().checkpoints > 0);
-  }
-  Sharded r = Sharded::recover(kN, 4, PT{}, durable_opts(td.path));
-  CHECK_EQ(r.stats().batches, batches.size());
-  CHECK(csr_bitwise_equal(r.adjacency(),
-                          oracle_prefix(kN, batches, batches.size())));
-  // Replayed routing is deterministic: continue ingesting, recover
-  // again, and the fused bytes still match a serial rebuild.
-  r.ingest(batches[0]);
-  graph::Graph extended(kN);
-  for (const auto& batch : batches) {
-    for (const auto& e : batch) extended.add_edge(e.src, e.dst, e.weight);
-  }
-  for (const auto& e : batches[0]) extended.add_edge(e.src, e.dst, e.weight);
-  const PT p{};
-  const auto extended_oracle =
-      graph::adjacency_array(p, graph::incidence_arrays(extended, p));
-  CHECK(csr_bitwise_equal(r.adjacency(), extended_oracle));
-}
-
 void test_manifest_refusals() {
   TempDir td;
   const auto batches = trial_batches(61);
@@ -472,17 +439,26 @@ void test_manifest_refusals() {
     stream::AdjacencyBuilder<algebra::MinPlus<double>>::recover(
         kN, algebra::MinPlus<double>{}, durable_opts(td.path + "/single"));
   });
-  // Wrong shard count, both directions.
+  // Wrong shard count: a log whose manifest records 4 shards (the
+  // layout of an earlier multi-ladder writer) is intact but not this
+  // builder's, so recovery refuses it with the mismatch subtype.
   {
-    Sharded sb(kN, 4, PT{}, durable_opts(td.path + "/sharded"));
-    sb.ingest(batches[0]);
+    const std::string dir = td.path + "/sharded";
+    util::ensure_dir(dir);
+    const stream::WalManifest sharded{stream::algebra_tag<PT>(), kN, 4, 0};
+    stream::Wal wal(dir, sharded, Durability::kFsyncEachBatch, 64ULL << 20,
+                    /*seqno=*/0, /*start_epoch=*/0);
+    wal.append(1, std::span<const graph::Edge>(batches[0].data(),
+                                               batches[0].size()));
+    wal.close();
   }
-  expect_recovery_error([&] {
-    Sharded::recover(kN, 2, PT{}, durable_opts(td.path + "/sharded"));
-  });
-  expect_recovery_error([&] {
+  bool mismatch = false;
+  try {
     Builder::recover(kN, PT{}, durable_opts(td.path + "/sharded"));
-  });
+  } catch (const ManifestMismatch&) {
+    mismatch = true;
+  }
+  CHECK(mismatch);
   // A fresh builder refuses a directory holding recoverable state —
   // constructing over it would be silent data loss.
   bool refused = false;
@@ -492,6 +468,82 @@ void test_manifest_refusals() {
     refused = true;
   }
   CHECK(refused);
+}
+
+// ---------------------------------------------------------------------------
+// On-disk format pin. A fixed seeded stream (one empty batch included)
+// goes through a durable builder with checkpoints and tiny segments, on
+// a workerless pool so the checkpoint tasks run inside ingest at fixed
+// epochs. Every file the directory ends with is compared by name and
+// CRC32C against constants captured from format version 1, and the
+// directory must then recover to the bytes it was written from.
+// Directories written by older builds must keep recovering, so a
+// mismatch here is a format change — bump kWalFormatVersion and keep a
+// reader for version 1 — never a refactoring detail.
+
+struct PinnedFile {
+  const char* name;
+  std::uint32_t crc;
+};
+
+template <typename Pair, std::size_t N>
+void check_format_pin(stream::Weighting weighting,
+                      const PinnedFile (&expected)[N]) {
+  TempDir td;
+  auto batches = trial_batches(20261020);
+  batches.insert(batches.begin() + 5, std::vector<graph::Edge>{});
+  util::ThreadPool workerless(1);
+  Options opts = durable_opts(td.path, Durability::kNone);
+  opts.weighting = weighting;
+  opts.pool = &workerless;
+  opts.checkpoint_every = 10;
+  opts.wal_segment_bytes = 512;
+  sparse::Csr<double> written;
+  {
+    stream::AdjacencyBuilder<Pair> b(kN, Pair{}, opts);
+    for (const auto& batch : batches) b.ingest(batch);
+    b.drain();
+    CHECK(b.stats().checkpoints > 0);
+    written = b.adjacency();
+  }
+  const auto names = util::list_dir(td.path);
+  bool same = names.size() == N;
+  for (std::size_t i = 0; same && i < N; ++i) {
+    const auto bytes = util::read_file(td.path + "/" + names[i]);
+    same = names[i] == expected[i].name &&
+           util::crc32c(bytes.data(), bytes.size()) == expected[i].crc;
+  }
+  CHECK(same);
+  if (!same) {
+    std::printf("  on-disk format for %s differs; the directory holds:\n",
+                std::string(Pair::name()).c_str());
+    for (const std::string& name : names) {
+      const auto bytes = util::read_file(td.path + "/" + name);
+      std::printf("    {\"%s\", 0x%08XU},\n", name.c_str(),
+                  util::crc32c(bytes.data(), bytes.size()));
+    }
+  }
+  const auto r = stream::AdjacencyBuilder<Pair>::recover(kN, Pair{}, opts);
+  CHECK_EQ(r.stats().batches, batches.size());
+  CHECK(csr_bitwise_equal(r.adjacency(), written));
+}
+
+void test_on_disk_format_is_stable() {
+  static constexpr PinnedFile kPlusTimesUnweighted[] = {
+      {"checkpoint-0000000000000020.ckpt", 0x60F57C26U},
+      {"wal-0000000000000006.log", 0x644CA2AAU},
+      {"wal-0000000000000007.log", 0x0AF4111EU},
+      {"wal-0000000000000008.log", 0x7AE06841U},
+  };
+  static constexpr PinnedFile kMinPlusWeighted[] = {
+      {"checkpoint-0000000000000020.ckpt", 0xA290FFA6U},
+      {"wal-0000000000000006.log", 0x0A40EAE1U},
+      {"wal-0000000000000007.log", 0x4966390EU},
+      {"wal-0000000000000008.log", 0x4DAD3564U},
+  };
+  check_format_pin<PT>(stream::Weighting::kUnweighted, kPlusTimesUnweighted);
+  check_format_pin<algebra::MinPlus<double>>(stream::Weighting::kWeighted,
+                                             kMinPlusWeighted);
 }
 
 // ---------------------------------------------------------------------------
@@ -799,17 +851,17 @@ const char* g_argv0 = nullptr;
 
 struct TrialConfig {
   Durability mode = Durability::kFsyncEachBatch;
-  std::size_t shards = 1;
   bool checkpointed = false;
 };
 
-/// Derived from the trial SEED (which the writer child receives), so the
-/// child and the recovering parent agree without communicating.
-TrialConfig trial_config(std::uint64_t trial, std::uint64_t seed) {
+/// Derived from the trial SEED alone (which the writer child receives),
+/// so the child and the recovering parent agree without communicating.
+/// Trial seeds are consecutive, so every four trials cover durability ×
+/// checkpointing.
+TrialConfig trial_config(std::uint64_t seed) {
   TrialConfig c;
-  c.mode = (trial & 1) != 0 ? Durability::kAsync : Durability::kFsyncEachBatch;
-  c.shards = ((trial >> 1) & 1) != 0 ? 4 : 1;
-  c.checkpointed = (seed & 4) != 0;
+  c.mode = (seed & 1) != 0 ? Durability::kAsync : Durability::kFsyncEachBatch;
+  c.checkpointed = (seed & 2) != 0;
   return c;
 }
 
@@ -828,34 +880,19 @@ Options writer_opts(const std::string& dir, const TrialConfig& c,
 /// Child: ingest the trial workload, acknowledging each batch into the
 /// ack file the instant ingest() returns. Killed by the parent at a
 /// random point; exits 0 if it outlives the timer.
-int run_writer(const std::string& dir, std::uint64_t seed, int mode_int,
-               std::size_t shards, const std::string& ack_path) {
+int run_writer(const std::string& dir, std::uint64_t seed,
+               const std::string& ack_path) {
   const auto batches = trial_batches(seed);
-  const TrialConfig c{mode_int != 0 ? Durability::kFsyncEachBatch
-                                    : Durability::kAsync,
-                      shards, (seed & 4) != 0};
   std::FILE* ack = std::fopen(ack_path.c_str(), "a");
   if (ack == nullptr) return 2;
   util::ThreadPool pool(2);
-  const auto acknowledge = [&](std::size_t epoch) {
-    std::fprintf(ack, "a %zu\n", epoch);
+  Builder b(kN, PT{}, writer_opts(dir, trial_config(seed), &pool));
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    b.ingest(batches[i]);
+    std::fprintf(ack, "a %zu\n", i + 1);
     std::fflush(ack);
-  };
-  if (shards == 1) {
-    Builder b(kN, PT{}, writer_opts(dir, c, &pool));
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      b.ingest(batches[i]);
-      acknowledge(i + 1);
-    }
-    b.drain();
-  } else {
-    Sharded sb(kN, shards, PT{}, writer_opts(dir, c, &pool));
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      sb.ingest(batches[i]);
-      acknowledge(i + 1);
-    }
-    sb.drain();
   }
+  b.drain();
   std::fclose(ack);
   return 0;
 }
@@ -863,14 +900,9 @@ int run_writer(const std::string& dir, std::uint64_t seed, int mode_int,
 /// Child: run one recover() of the directory and exit — the parent
 /// kills THIS process too, to prove recovery survives a crash during
 /// recovery (repair idempotence under fire).
-int run_recover_once(const std::string& dir, std::size_t shards) {
-  if (shards == 1) {
-    Builder r = Builder::recover(kN, PT{}, durable_opts(dir));
-    static_cast<void>(r.stats());
-  } else {
-    Sharded r = Sharded::recover(kN, shards, PT{}, durable_opts(dir));
-    static_cast<void>(r.stats());
-  }
+int run_recover_once(const std::string& dir) {
+  Builder r = Builder::recover(kN, PT{}, durable_opts(dir));
+  static_cast<void>(r.stats());
   return 0;
 }
 
@@ -918,16 +950,13 @@ std::size_t max_acked_epoch(const std::string& ack_path) {
 bool run_trial(std::uint64_t trial, std::uint64_t base_seed, TempDir& td) {
   const int before = i2a::test::failures;
   const std::uint64_t seed = base_seed * 1000003ULL + trial;
-  const TrialConfig c = trial_config(trial, seed);
+  const TrialConfig c = trial_config(seed);
   const auto batches = trial_batches(seed);
   const std::string dir = td.path + "/wal";
   const std::string ack = td.path + "/ack";
   util::Xoshiro256 rng(seed ^ 0x5EEDULL);
 
-  const pid_t pid = spawn_child(
-      {"--writer", dir, std::to_string(seed),
-       c.mode == Durability::kFsyncEachBatch ? "1" : "0",
-       std::to_string(c.shards), ack});
+  const pid_t pid = spawn_child({"--writer", dir, std::to_string(seed), ack});
   CHECK(pid > 0);
   // Kill anywhere in the writer's lifetime, biased toward mid-stream.
   kill_after(pid, rng.next() % 60000);
@@ -936,47 +965,28 @@ bool run_trial(std::uint64_t trial, std::uint64_t base_seed, TempDir& td) {
   // One trial in five also crashes the RECOVERY, then recovers again:
   // repair-under-fire must be idempotent.
   if (trial % 5 == 0) {
-    const pid_t rpid =
-        spawn_child({"--recover-once", dir, std::to_string(c.shards)});
+    const pid_t rpid = spawn_child({"--recover-once", dir});
     CHECK(rpid > 0);
     kill_after(rpid, rng.next() % 20000);
   }
 
-  std::size_t recovered = 0;
-  if (c.shards == 1) {
-    Builder r = Builder::recover(kN, PT{}, durable_opts(dir, c.mode));
-    recovered = static_cast<std::size_t>(r.stats().batches);
-    CHECK(recovered >= acked);
-    CHECK(recovered <= batches.size());
-    CHECK(csr_bitwise_equal(r.adjacency(),
-                            oracle_prefix(kN, batches, recovered)));
-    { Builder drop = std::move(r); }
-    // Idempotence: recover the same directory again.
-    Builder r2 = Builder::recover(kN, PT{}, durable_opts(dir, c.mode));
-    CHECK_EQ(static_cast<std::size_t>(r2.stats().batches), recovered);
-    CHECK(csr_bitwise_equal(r2.adjacency(),
-                            oracle_prefix(kN, batches, recovered)));
-  } else {
-    Sharded r = Sharded::recover(kN, c.shards, PT{}, durable_opts(dir, c.mode));
-    recovered = static_cast<std::size_t>(r.stats().batches);
-    CHECK(recovered >= acked);
-    CHECK(recovered <= batches.size());
-    CHECK(csr_bitwise_equal(r.adjacency(),
-                            oracle_prefix(kN, batches, recovered)));
-    // Idempotence (the first recovery's fresh, still-open segment is an
-    // empty header-only segment to the second scan — skipped cleanly).
-    Sharded r2 =
-        Sharded::recover(kN, c.shards, PT{}, durable_opts(dir, c.mode));
-    CHECK_EQ(static_cast<std::size_t>(r2.stats().batches), recovered);
-    CHECK(csr_bitwise_equal(r2.adjacency(),
-                            oracle_prefix(kN, batches, recovered)));
-  }
+  Builder r = Builder::recover(kN, PT{}, durable_opts(dir, c.mode));
+  const auto recovered = static_cast<std::size_t>(r.stats().batches);
+  CHECK(recovered >= acked);
+  CHECK(recovered <= batches.size());
+  CHECK(csr_bitwise_equal(r.adjacency(),
+                          oracle_prefix(kN, batches, recovered)));
+  { Builder drop = std::move(r); }
+  // Idempotence: recover the same directory again.
+  Builder r2 = Builder::recover(kN, PT{}, durable_opts(dir, c.mode));
+  CHECK_EQ(static_cast<std::size_t>(r2.stats().batches), recovered);
+  CHECK(csr_bitwise_equal(r2.adjacency(),
+                          oracle_prefix(kN, batches, recovered)));
   std::printf(
-      "  trial %llu seed %llu mode=%s shards=%zu ckpt=%d: acked %zu, "
-      "recovered %zu\n",
+      "  trial %llu seed %llu mode=%s ckpt=%d: acked %zu, recovered %zu\n",
       static_cast<unsigned long long>(trial),
       static_cast<unsigned long long>(seed),
-      c.mode == Durability::kFsyncEachBatch ? "fsync" : "async", c.shards,
+      c.mode == Durability::kFsyncEachBatch ? "fsync" : "async",
       c.checkpointed ? 1 : 0, acked, recovered);
   return i2a::test::failures == before;
 }
@@ -1007,15 +1017,12 @@ int main(int argc, char** argv) {
   g_argv0 = argv[0];
   // Child modes (re-exec'd by the trial loop).
   if (argc >= 2 && std::strcmp(argv[1], "--writer") == 0) {
-    if (argc != 7) return 2;
-    return run_writer(argv[2], std::strtoull(argv[3], nullptr, 0),
-                      std::atoi(argv[4]),
-                      static_cast<std::size_t>(std::atoi(argv[5])), argv[6]);
+    if (argc != 5) return 2;
+    return run_writer(argv[2], std::strtoull(argv[3], nullptr, 0), argv[4]);
   }
   if (argc >= 2 && std::strcmp(argv[1], "--recover-once") == 0) {
-    if (argc != 4) return 2;
-    return run_recover_once(argv[2],
-                            static_cast<std::size_t>(std::atoi(argv[3])));
+    if (argc != 3) return 2;
+    return run_recover_once(argv[2]);
   }
   // Harness mode: trials only, count and seed from the command line.
   std::uint64_t trials = 0;
@@ -1040,8 +1047,8 @@ int main(int argc, char** argv) {
   test_recover_clean();
   test_recover_empty_dir_is_fresh();
   test_recover_with_checkpoint();
-  test_sharded_recover();
   test_manifest_refusals();
+  test_on_disk_format_is_stable();
   test_corruption_truncation_matrix();
   test_corruption_sealed_segment_is_refused();
   test_corruption_bitflip_matrix();

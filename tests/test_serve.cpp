@@ -9,11 +9,10 @@
 ///        equal the serial rebuild of exactly batches [0, k), the
 ///        lock-free `fold_row` BFS on it equals BFS on that rebuild, and
 ///        per reader the observed epochs never go backwards. Swept across
-///        pools {1, 4, 8} × shards {1 = plain builder, 4 = ShardedBuilder}
-///        × algebras {+.*, min.+}. Runs under the TSan and ASan CI legs —
-///        the interleavings are the point — with the workload seed logged
-///        (override: I2A_SERVE_SEED) so any failing schedule's inputs
-///        replay exactly.
+///        pools {1, 4, 8} × algebras {+.*, min.+}. Runs under the TSan
+///        and ASan CI legs — the interleavings are the point — with the
+///        workload seed logged (override: I2A_SERVE_SEED) so any failing
+///        schedule's inputs replay exactly.
 ///
 /// Workloads use integer-valued weights so every fold is exact in FP:
 /// a regrouping or fold-order divergence surfaces as a byte diff, never
@@ -32,7 +31,6 @@
 #include "graph/generators.hpp"
 #include "graph/incidence.hpp"
 #include "stream/adjacency_builder.hpp"
-#include "stream/sharded_builder.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 #include "test_util.hpp"
@@ -98,10 +96,8 @@ struct Observed {
 /// One configuration: this thread writes every batch while `readers`
 /// threads pin/materialize/traverse snapshots continuously, then the
 /// main thread replays every observation against the prefix oracles.
-/// Works identically for `AdjacencyBuilder` and `ShardedBuilder` — the
-/// serving surface (ingest/snapshot/drain/adjacency) is shared.
-template <typename P, typename Builder>
-void run_serve_config(const P& p, Builder& builder,
+template <typename P>
+void run_serve_config(const P& p, stream::AdjacencyBuilder<P>& builder,
                       const std::vector<graph::Edge>& edges, std::size_t batch,
                       const std::vector<sparse::Csr<double>>& oracles,
                       std::size_t readers) {
@@ -159,23 +155,15 @@ void sweep_algebra(const P& p, stream::Weighting weighting, const char* name,
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      std::printf("test_serve: algebra=%s pool=%zu shards=%zu seed=%llu\n",
-                  name, threads, shards,
-                  static_cast<unsigned long long>(seed));
-      util::ThreadPool pool(threads);
-      if (shards == 1) {
-        stream::AdjacencyBuilder<P> builder(
-            n, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
-        run_serve_config(p, builder, g.edges(), batch, oracles, readers);
-      } else {
-        stream::ShardedBuilder<P> builder(
-            n, shards, p, weighting, sparse::SpGemmAlgo::kAuto, &pool,
-            stream::Compaction::kBackground);
-        run_serve_config(p, builder, g.edges(), batch, oracles, readers);
-      }
-    }
+    std::printf("test_serve: algebra=%s pool=%zu seed=%llu\n", name, threads,
+                static_cast<unsigned long long>(seed));
+    util::ThreadPool pool(threads);
+    stream::AdjacencyBuilder<P> builder(
+        n, p,
+        {.weighting = weighting,
+         .pool = &pool,
+         .compaction = stream::Compaction::kBackground});
+    run_serve_config(p, builder, g.edges(), batch, oracles, readers);
   }
 }
 

@@ -5,7 +5,8 @@
 ///        `adjacency_array` — across batch sizes {1, 7, 1024}, pool
 ///        sizes {serial, 1, 4, 8}, and the min.+ / +.* / max.min
 ///        algebras, plus builder-specific edge cases (empty batches,
-///        endpoint validation, ladder shape, prefix snapshots).
+///        endpoint validation, ladder shape, prefix snapshots, skewed
+///        source distributions).
 ///
 /// Weighted workloads draw integer weights so the +.* fold stays exact
 /// in FP — any fold-order divergence shows up as a byte diff instead of
@@ -58,8 +59,8 @@ void run_differential(const P& p, stream::Weighting weighting,
                       const graph::Graph& g, index_t batch_size,
                       util::ThreadPool* pool,
                       const sparse::Csr<typename P::value_type>& oracle) {
-  stream::AdjacencyBuilder<P> builder(g.num_vertices(), p, weighting,
-                                      sparse::SpGemmAlgo::kAuto, pool);
+  stream::AdjacencyBuilder<P> builder(
+      g.num_vertices(), p, {.weighting = weighting, .pool = pool});
   const auto& edges = g.edges();
   for (std::size_t lo = 0; lo < edges.size();
        lo += static_cast<std::size_t>(batch_size)) {
@@ -117,8 +118,8 @@ void test_prefix_snapshots() {
   const algebra::MinPlus<double> p;
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p,
+      {.weighting = stream::Weighting::kWeighted, .pool = &pool});
   const auto& edges = g.edges();
   const std::size_t batch = 37;
   graph::Graph prefix(g.num_vertices());
@@ -132,6 +133,78 @@ void test_prefix_snapshots() {
         p, graph::weighted_incidence_arrays(prefix, p));
     CHECK(csr_bitwise_equal(builder.adjacency(), oracle));
   }
+}
+
+/// Hub-heavy workload: source vertices drawn from a power-law-ish
+/// distribution (u⁴ concentrates mass near vertex 0), destinations
+/// uniform — a few rows own most edges, so per-row folds run long.
+graph::Graph power_law_graph(index_t n, index_t m, std::uint64_t seed) {
+  graph::Graph g(n);
+  util::Xoshiro256 rng(seed);
+  const auto fn = static_cast<double>(n);
+  for (index_t i = 0; i < m; ++i) {
+    const double u =
+        static_cast<double>(rng.next() >> 11) * 0x1.0p-53;  // [0, 1)
+    const auto src = static_cast<index_t>(fn * u * u * u * u);
+    const auto dst = static_cast<index_t>(rng.next() %
+                                          static_cast<std::uint64_t>(n));
+    g.add_edge(std::min(src, n - 1), dst,
+               static_cast<double>(1 + rng.next() % 9));
+  }
+  return g;
+}
+
+/// Every prefix of a skewed stream, in both compaction modes, must
+/// byte-equal the rebuild of exactly the edges ingested so far.
+template <typename P>
+void skewed_prefix_differential(const P& p, stream::Weighting weighting,
+                                const graph::Graph& g, std::size_t batch) {
+  const auto rebuild = [&](const graph::Graph& prefix) {
+    return weighting == stream::Weighting::kWeighted
+               ? graph::adjacency_array(
+                     p, graph::weighted_incidence_arrays(prefix, p))
+               : graph::adjacency_array(p, graph::incidence_arrays(prefix, p));
+  };
+  util::ThreadPool pool(4);
+  for (const auto mode :
+       {stream::Compaction::kInline, stream::Compaction::kBackground}) {
+    stream::AdjacencyBuilder<P> builder(
+        g.num_vertices(), p,
+        {.weighting = weighting, .pool = &pool, .compaction = mode});
+    const auto& edges = g.edges();
+    graph::Graph prefix(g.num_vertices());
+    for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
+      const std::size_t hi = std::min(edges.size(), lo + batch);
+      builder.ingest(std::span<const graph::Edge>(edges.data() + lo, hi - lo));
+      for (std::size_t i = lo; i < hi; ++i) {
+        prefix.add_edge(edges[i].src, edges[i].dst, edges[i].weight);
+      }
+      CHECK(csr_bitwise_equal(builder.snapshot().materialize(),
+                              rebuild(prefix)));
+    }
+    builder.drain();
+    CHECK(csr_bitwise_equal(builder.adjacency(), rebuild(prefix)));
+    CHECK_EQ(builder.stats().edges, edges.size());
+  }
+}
+
+void test_skewed_sources() {
+  skewed_prefix_differential(algebra::PlusTimes<double>{},
+                             stream::Weighting::kUnweighted,
+                             power_law_graph(64, 500, 0xBEEFu), 41);
+  // The degenerate skew: every edge leaves vertex 5, so one row holds
+  // the whole array and every other row stays empty.
+  const index_t n = 16;
+  graph::Graph star(n);
+  util::Xoshiro256 rng(77);
+  for (int i = 0; i < 60; ++i) {
+    star.add_edge(5,
+                  static_cast<index_t>(rng.next() %
+                                       static_cast<std::uint64_t>(n)),
+                  static_cast<double>(1 + rng.next() % 9));
+  }
+  skewed_prefix_differential(algebra::MinPlus<double>{},
+                             stream::Weighting::kWeighted, star, 7);
 }
 
 void test_empty_and_tiny_batches() {
@@ -217,7 +290,7 @@ void test_self_loops_and_parallel_edges_stream() {
   // must land on the diagonal.
   const algebra::MinPlus<double> p;
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      4, p, stream::Weighting::kWeighted);
+      4, p, {.weighting = stream::Weighting::kWeighted});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 5.0}, {2, 2, 1.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 3.0}});
   builder.ingest(std::vector<graph::Edge>{{0, 1, 8.0}});
@@ -259,8 +332,8 @@ void test_concurrent_ingest_snapshot() {
 
   util::ThreadPool pool(4);
   stream::AdjacencyBuilder<algebra::MinPlus<double>> builder(
-      g.num_vertices(), p, stream::Weighting::kWeighted,
-      sparse::SpGemmAlgo::kAuto, &pool);
+      g.num_vertices(), p,
+      {.weighting = stream::Weighting::kWeighted, .pool = &pool});
   std::mutex mu;            // orders every builder call
   std::size_t batches_done = 0;  // guarded by mu
   std::atomic<bool> done{false};
@@ -324,6 +397,7 @@ void test_concurrent_ingest_snapshot() {
 int main() {
   test_streaming_differential();
   test_prefix_snapshots();
+  test_skewed_sources();
   test_empty_and_tiny_batches();
   test_ingest_validation();
   test_stats_untouched_when_merge_throws();

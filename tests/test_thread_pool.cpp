@@ -325,8 +325,7 @@ void test_background_task_outlives_snapshot() {
   const algebra::PlusTimes<double> p;
   util::ThreadPool pool(2);
   stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(
-      8, p, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto, &pool,
-      stream::Compaction::kBackground);
+      8, p, {.pool = &pool, .compaction = stream::Compaction::kBackground});
   graph::Graph all(8);
   const std::vector<graph::Edge> batches[] = {
       {{0, 1, 1.0}}, {{1, 2, 1.0}}, {{2, 3, 1.0}}, {{0, 1, 1.0}}};
@@ -352,8 +351,7 @@ void test_builder_destroyed_with_task_in_flight() {
   util::ThreadPool pool(2);
   {
     stream::AdjacencyBuilder<algebra::PlusTimes<double>> builder(
-        8, {}, stream::Weighting::kUnweighted, sparse::SpGemmAlgo::kAuto,
-        &pool, stream::Compaction::kBackground);
+        8, {}, {.pool = &pool, .compaction = stream::Compaction::kBackground});
     for (index_t i = 0; i < 6; ++i) {
       builder.ingest(std::vector<graph::Edge>{{i % 7, i % 7 + 1, 1.0}});
     }
@@ -376,8 +374,8 @@ void test_background_exception_surfaces() {
   };
   util::ThreadPool pool(2);
   stream::AdjacencyBuilder<ThrowingPlusTimes> builder(
-      3, ThrowingPlusTimes{}, stream::Weighting::kUnweighted,
-      sparse::SpGemmAlgo::kAuto, &pool, stream::Compaction::kBackground);
+      3, ThrowingPlusTimes{},
+      {.pool = &pool, .compaction = stream::Compaction::kBackground});
   // Two batches with the same edge: staging never folds (one product per
   // entry), but the scheduled compaction folds (0,1) with (0,1) — Boom,
   // captured in the background task.

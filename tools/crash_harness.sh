@@ -5,9 +5,9 @@
 # writer child, SIGKILLs it at a random point mid-stream (sometimes
 # mid-recovery too), then recovers in the parent and requires the result
 # to be byte-identical to the acknowledged-prefix rebuild oracle, twice
-# (idempotence). The trial index cycles durability mode (fsync/async),
-# shard count (1/4), and checkpointing, so a full run covers the whole
-# matrix by construction.
+# (idempotence). Consecutive trial seeds cycle durability mode
+# (fsync/async) × checkpointing (off/on), so every four trials cover the
+# whole matrix by construction.
 #
 # The sweep is seeded and reproducible: pass the seed with -s (CI passes
 # the run id), or export I2A_FAILPOINT_SEED; the binary logs the base
